@@ -1,11 +1,13 @@
 // M1 micro-benchmarks: per-tuple grouping overhead (the key claim: dynamic
 // grouping costs about the same as shuffle), event-queue throughput, acker
-// operations, and whole-engine simulation rate.
+// operations, window finalize, and whole-engine simulation rate.
 #include <benchmark/benchmark.h>
 
+#include "common/rng.hpp"
 #include "dsps/acker.hpp"
 #include "dsps/engine.hpp"
 #include "dsps/grouping.hpp"
+#include "runtime/window_stats.hpp"
 #include "sim/event_queue.hpp"
 
 namespace {
@@ -111,6 +113,65 @@ void BM_AckerTupleTree(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AckerTupleTree);
+
+/// The async spout/bolt shape at a steady `range(0)` pending roots: per
+/// 64-row batch, register and anchor 64 new roots, ack_batch the 64 oldest
+/// (completing them) and sweep once, as AsyncEngine::spout_step does.
+/// Nothing times out, so the sweep's early-out is what is measured.
+void BM_AckerChurn(benchmark::State& state) {
+  constexpr std::size_t kBatch = 64;
+  constexpr std::uint64_t kIdOffset = std::uint64_t{1} << 40;
+  dsps::Acker acker(30.0);
+  std::uint64_t completed = 0;
+  acker.set_on_complete([&completed](std::uint64_t, double, std::size_t) { ++completed; });
+  std::uint64_t next = 1;
+  double t = 0.0;
+  std::vector<std::uint64_t> roots(kBatch), ids(kBatch);
+  auto register_batch = [&] {
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      roots[i] = next++;
+      ids[i] = roots[i] + kIdOffset;
+      acker.register_root(roots[i], t, 0);
+    }
+    acker.add_anchors(roots.data(), ids.data(), kBatch);
+  };
+  while (acker.pending() < static_cast<std::size_t>(state.range(0))) register_batch();
+  const std::uint64_t pending = acker.pending();
+  for (auto _ : state) {
+    t += 1e-5;
+    register_batch();
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      roots[i] = next - pending - kBatch + i;
+      ids[i] = roots[i] + kIdOffset;
+    }
+    acker.ack_batch(roots.data(), ids.data(), kBatch, t);
+    acker.sweep(t);
+    benchmark::DoNotOptimize(completed);
+  }
+  if (acker.pending() != pending) state.SkipWithError("pending roots drifted");
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kBatch));
+}
+BENCHMARK(BM_AckerChurn)->Arg(4096);
+
+/// One topology window's finalize at `range(0)` acked roots: the p99 pick
+/// over the window's latency vector (refilled, untimed, each iteration).
+void BM_FinalizeTopologyWindow(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  common::Pcg32 rng(17, 0x51);
+  std::vector<double> latencies(n);
+  for (double& lat : latencies) lat = rng.exponential(1000.0);
+  runtime::TopologyCounters c;
+  for (auto _ : state) {
+    state.PauseTiming();
+    c.latencies.assign(latencies.begin(), latencies.end());
+    c.acked = n;
+    state.ResumeTiming();
+    dsps::TopologyWindowStats s = runtime::finalize_topology_window(c, 0.1, 0);
+    benchmark::DoNotOptimize(s.p99_complete_latency);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_FinalizeTopologyWindow)->Arg(225000)->Unit(benchmark::kMicrosecond);
 
 /// Whole-engine throughput: simulated tuples per wall second.
 void BM_EngineSimulationRate(benchmark::State& state) {

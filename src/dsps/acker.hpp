@@ -11,8 +11,8 @@
 // timeouts, and timeouts drive replay.
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dsps/tuple.hpp"
@@ -36,6 +36,8 @@ class Acker {
   void set_on_fail(FailFn fn) { on_fail_ = std::move(fn); }
   void set_on_replay(ReplayFn fn) { on_replay_ = std::move(fn); }
 
+  /// Start tracking `root`. Root 0 means "unanchored" to every engine (their
+  /// tuple ids start at 1) and is ignored, as is a root already pending.
   void register_root(std::uint64_t root, sim::SimTime emit_time, std::size_t spout_task);
   /// Keep a copy of the root's values for timeout-driven replay. Call
   /// right after register_root; `attempt` counts prior emissions of the
@@ -50,7 +52,7 @@ class Acker {
   // Column-at-a-time variants over parallel root/id arrays (a TupleBatch's
   // root_ids/ids columns). Semantically exactly n per-row calls in row
   // order — completions fire at the same row they would per-tuple — but
-  // consecutive same-root runs reuse one map lookup, which is the common
+  // consecutive same-root runs reuse one table lookup, which is the common
   // layout after per-destination coalescing. Rows with root 0 (unanchored)
   // are skipped, mirroring the engines' per-tuple guard.
   void add_anchors(const std::uint64_t* roots, const std::uint64_t* ids, std::size_t n);
@@ -62,21 +64,29 @@ class Acker {
   void discard_if_unanchored(std::uint64_t root, sim::SimTime now);
 
   /// Fail all roots older than the timeout (in ascending root-id order, so
-  /// replay re-emission is deterministic). Call periodically.
+  /// replay re-emission is deterministic). Call periodically: while no
+  /// root can have expired (tracked by a lower bound on the pending emit
+  /// times) it returns without scanning the table.
   void sweep(sim::SimTime now);
 
-  std::size_t pending() const { return entries_.size(); }
+  std::size_t pending() const { return size_; }
   /// In-flight roots of one spout task. O(1): served from per-spout
   /// counters maintained at every register/complete/discard/sweep, NOT by
-  /// scanning the root map — this sits on the spout-throttling hot path
+  /// scanning the root table — this sits on the spout-throttling hot path
   /// (max_spout_pending) and, under flow control, gates the credit-based
   /// backpressure release.
   std::size_t pending_for(std::size_t spout_task) const;
-  /// Consistency audit of the cached per-spout counters against a full
-  /// recount of the root map (O(pending); tests and debugging). Returns
-  /// "" when they agree, else a diagnostic naming the first mismatch.
+  /// Consistency audit of the cached per-spout counters and the root
+  /// table's size against a full recount, and of every root's reachability
+  /// from its home slot (tests and debugging). Returns "" when all hold,
+  /// else a diagnostic naming the first mismatch.
   std::string pending_audit() const;
   double timeout() const { return timeout_; }
+
+  /// Multiplier of the root table's hash: a root's home slot in a table of
+  /// 2^b slots is the top b bits of `root * kHashMul` (mod 2^64). Public so
+  /// tests can construct colliding roots.
+  static constexpr std::uint64_t kHashMul = 0x9E3779B97F4A7C15ull;
 
  private:
   struct Entry {
@@ -89,8 +99,31 @@ class Acker {
     Values replay_values;
   };
 
+  /// One slot of the open-addressing root table; `root == 0` marks it empty.
+  struct Slot {
+    std::uint64_t root = 0;
+    Entry entry;
+  };
+
+  Slot* find(std::uint64_t root);
+  /// Claim a slot for nonzero `root`; nullptr when it is already present.
+  Slot* insert(std::uint64_t root);
+  void erase(Slot* slot);
+  std::size_t home(std::uint64_t root) const {
+    return static_cast<std::size_t>((root * kHashMul) >> shift_);
+  }
+  /// Erase `slot` and drop its spout's pending count; returns the entry.
+  Entry take(Slot* slot);
+
   double timeout_;
-  std::unordered_map<std::uint64_t, Entry> entries_;
+  // Linear probing over a power-of-two table kept at most half full;
+  // erase shifts the following run back, so there are no tombstones.
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+  unsigned shift_ = 64;  ///< 64 - log2(slots_.size())
+  /// Lower bound on the emit_time of every pending root: lowered by
+  /// register_root, recomputed from the survivors by each full sweep.
+  sim::SimTime min_emit_time_ = std::numeric_limits<double>::infinity();
   std::vector<std::size_t> per_spout_counts_;
   CompleteFn on_complete_;
   FailFn on_fail_;

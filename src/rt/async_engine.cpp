@@ -459,8 +459,7 @@ bool AsyncEngine::bolt_step(TaskAsync& task, std::size_t task_id, std::size_t wo
   }
   if (any_anchored) {
     std::lock_guard<std::mutex> lock(acker_mutex_);
-    acker_.ack_batch(qb.batch.root_ids.data(), qb.batch.ids.data(), n,
-                     seconds_since_start(std::chrono::steady_clock::now()));
+    acker_.ack_batch(qb.batch.root_ids.data(), qb.batch.ids.data(), n, seconds_since_start(done));
   }
   return true;
 }

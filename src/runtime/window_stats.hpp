@@ -73,7 +73,8 @@ dsps::WorkerWindowStats finalize_worker_window(std::size_t worker, std::size_t m
 
 /// Fold the topology window counters into stats and reset them.
 /// `pending` is the number of in-flight roots at the boundary. Note:
-/// sorts (and then clears) `c.latencies` to compute the p99.
+/// partially orders (nth_element, then clears) `c.latencies` to pick the
+/// p99 — the element at index 0.99*(n-1) of the sorted window.
 dsps::TopologyWindowStats finalize_topology_window(TopologyCounters& c, double window_seconds,
                                                    std::uint64_t pending);
 
